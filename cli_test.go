@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/workloads"
 )
 
 // buildCmds compiles the repository's command-line tools once per test
@@ -262,6 +266,55 @@ func TestCLIRunRecords(t *testing.T) {
 	wout := run(0, "tlreport", "show", manC, manA)
 	if !strings.Contains(wout, "warning: ignoring") {
 		t.Fatalf("corrupt manifest not warned about:\n%s", wout)
+	}
+}
+
+// TestCLIDelayMatchesLibraryDefaults pins thistle's -n default to the
+// library's: without -n, a delay run must land on the same design as
+// core.Optimize with default options (NDiv 3 for delay, where a width-2
+// integerization misses the PE-maximizing tiles), as thistled and
+// experiments do.
+func TestCLIDelayMatchesLibraryDefaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	bin := buildCmds(t)
+	man := filepath.Join(t.TempDir(), "delay.manifest.json")
+	cmd := exec.Command(filepath.Join(bin, "thistle"), "-layer", "resnet18_L2",
+		"-criterion", "delay", "-specs=false", "-manifest", man)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("thistle: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Layers []struct {
+			EnergyPJ float64 `json:"energy_pj"`
+			Cycles   float64 `json:"cycles"`
+		} `json:"layers"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Layers) != 1 {
+		t.Fatalf("manifest has %d layers, want 1", len(m.Layers))
+	}
+
+	l, _ := workloads.ByName("resnet18_L2")
+	p, err := l.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Optimize(p, core.Options{Criterion: model.MinDelay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Best.Report
+	if got := m.Layers[0]; got.EnergyPJ != want.Energy || got.Cycles != want.Cycles {
+		t.Fatalf("thistle -criterion delay: %v pJ, %v cycles; core.Optimize defaults: %v pJ, %v cycles",
+			got.EnergyPJ, got.Cycles, want.Energy, want.Cycles)
 	}
 }
 

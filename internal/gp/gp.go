@@ -146,7 +146,7 @@ func (p *Program) Lower() (*solver.Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lowering objective: %w", err)
 	}
-	prob := &solver.Problem{N: n, Obj: obj}
+	prob := &solver.Problem{N: n, Obj: obj, Ineq: make([]solver.LSE, 0, len(p.Ineq))}
 	for i, c := range p.Ineq {
 		f, err := lowerPoly(c, n)
 		if err != nil {

@@ -131,7 +131,8 @@ func CongruentTransform(z, h *Dense) *Dense {
 
 // Cholesky factors the symmetric positive-definite matrix A in place into
 // L (lower triangle) with A = L·Lᵀ. Returns ErrSingular when a pivot is
-// not positive. Only the lower triangle of A is read.
+// not positive. Only the lower triangle of A is read: the strict upper
+// triangle may hold anything, even NaN, and is overwritten with zeros.
 func Cholesky(a *Dense) error {
 	n := a.Rows
 	if n != a.Cols {
@@ -190,7 +191,8 @@ func CholSolve(l *Dense, b []float64) {
 // SolveSPD solves A·x = b for symmetric positive-definite A, adding
 // an escalating diagonal regularization when the plain factorization
 // fails (as happens near-singular Hessians during Newton iterations).
-// A and b are not modified; the solution is returned.
+// Only the lower triangle of A is read. A and b are not modified; the
+// solution is returned.
 func SolveSPD(a *Dense, b []float64) ([]float64, error) {
 	x := make([]float64, a.Rows)
 	var ws Workspace

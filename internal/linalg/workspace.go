@@ -61,7 +61,10 @@ func CholeskyInto(dst, a *Dense) error {
 // SolveSPDTo is SolveSPD writing the solution into dst (length a.Rows;
 // dst may alias b). It performs the identical escalating-regularization
 // attempts — the factor scratch lives in the workspace, so steady-state
-// calls do not allocate. a and b are not modified.
+// calls do not allocate. a and b are not modified. Only the lower
+// triangle of a is read, so the solution's bits do not depend on its
+// strict upper triangle, which may hold anything, even NaN; the barrier
+// solver assembles its Hessians in the lower triangle alone.
 func (ws *Workspace) SolveSPDTo(dst []float64, a *Dense, b []float64) error {
 	n := a.Rows
 	if len(dst) != n || len(b) != n {

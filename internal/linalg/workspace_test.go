@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,4 +254,62 @@ func TestInPlaceDimensionMismatchPanics(t *testing.T) {
 	mustPanic(t, "CongruentTransformTo inner", func() { ws.CongruentTransformTo(NewDense(2, 2), z, a) })
 	z3 := NewDense(3, 2)
 	mustPanic(t, "CongruentTransformTo dst", func() { ws.CongruentTransformTo(NewDense(3, 3), z3, a) })
+}
+
+// TestLowerTriangleOnly pins the contract the barrier solver's Hessian
+// assembly relies on: Cholesky, CholeskyInto and SolveSPDTo read only the
+// lower triangle, so a strict upper triangle full of NaN changes no bit
+// of the factor or the solution — also on the regularized path a
+// singular matrix takes.
+func TestLowerTriangleOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ws Workspace
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(8)
+		a, b := randSPD(rng, n)
+		if trial%4 == 3 {
+			// Rank one, v·vᵀ: Cholesky fails and SolveSPDTo regularizes.
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					a.Set(i, j, v[i]*v[j])
+				}
+			}
+		}
+		poisoned := a.Clone()
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				poisoned.Set(i, j, math.NaN())
+			}
+		}
+
+		want := make([]float64, n)
+		wantErr := ws.SolveSPDTo(want, a, b)
+		got := make([]float64, n)
+		if err := ws.SolveSPDTo(got, poisoned, b); err != wantErr {
+			t.Fatalf("trial %d: SolveSPDTo error %v with a NaN upper triangle, %v without", trial, err, wantErr)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: SolveSPDTo x[%d] = %v with a NaN upper triangle, %v without", trial, i, got[i], want[i])
+			}
+		}
+
+		lw, lg := a.Clone(), NewDense(n, n)
+		errW, errG := Cholesky(lw), CholeskyInto(lg, poisoned)
+		if errW != errG {
+			t.Fatalf("trial %d: Cholesky error %v with a NaN upper triangle, %v without", trial, errG, errW)
+		}
+		if errW != nil {
+			continue
+		}
+		for i := range lw.Data {
+			if math.Float64bits(lg.Data[i]) != math.Float64bits(lw.Data[i]) {
+				t.Fatalf("trial %d: factor entry %d = %v with a NaN upper triangle, %v without", trial, i, lg.Data[i], lw.Data[i])
+			}
+		}
+	}
 }

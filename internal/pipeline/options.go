@@ -48,7 +48,7 @@ type Options struct {
 	// Eyeriss-equal area of the paper's evaluation.
 	AreaBudget float64
 	// NDiv is the paper's n: divisor candidates per tile variable
-	// (default 2).
+	// (default 2, or 3 for MinDelay and MinEDP).
 	NDiv int
 	// NPow2 is the paper's N: power-of-two candidates per capacity
 	// variable (default 2).

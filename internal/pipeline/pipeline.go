@@ -67,35 +67,23 @@ type Run struct {
 	cands                  []*integerized       // Integerize, filtered by Validate
 	best                   *DesignPoint         // Select
 
-	// Solver-workspace pool for the solve stage: every pair GP of a run
-	// shares one equality system, so a recycled workspace almost always
-	// hits its equality-elimination cache. Sized implicitly by the
-	// scheduler width (a workspace is only out of the pool while a job
-	// holds it).
-	wsMu   sync.Mutex
-	wsFree []*solver.Workspace
-
 	stats Stats
 }
 
-// getWS takes a solver workspace from the run's pool (or makes one).
-func (r *Run) getWS() *solver.Workspace {
-	r.wsMu.Lock()
-	defer r.wsMu.Unlock()
-	if n := len(r.wsFree); n > 0 {
-		ws := r.wsFree[n-1]
-		r.wsFree = r.wsFree[:n-1]
-		return ws
-	}
-	return solver.NewWorkspace()
-}
+// wsPool recycles solver workspaces across every run in the process. A
+// workspace is out of the pool only while a solve job holds it, so the
+// live set follows the jobs in flight, not the runs in flight (a
+// whole-network sweep has dozens of runs mid-solve at once). A recycled
+// workspace's equality-elimination cache hits when its previous solve
+// had the same equality system (every pair GP of one run does) and
+// rebuilds otherwise; results are identical either way.
+var wsPool = sync.Pool{New: func() any { return solver.NewWorkspace() }}
+
+// getWS takes a solver workspace from the pool (or makes one).
+func getWS() *solver.Workspace { return wsPool.Get().(*solver.Workspace) }
 
 // putWS returns a workspace to the pool for the next job.
-func (r *Run) putWS(ws *solver.Workspace) {
-	r.wsMu.Lock()
-	r.wsFree = append(r.wsFree, ws)
-	r.wsMu.Unlock()
-}
+func putWS(ws *solver.Workspace) { wsPool.Put(ws) }
 
 // Context returns the run's context (cancelling it stops admission of
 // new leaf jobs).

@@ -195,8 +195,8 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 	// Phase A: cold-solve each group's first pair. Seeds are never
 	// pruned, so the threshold below is derived from a fixed job set.
 	err := r.sched.ForEach(ctx, nGroups, func(g int) error {
-		ws := r.getWS()
-		defer r.putWS(ws)
+		ws := getWS()
+		defer putWS(ws)
 		_, err := solveJob(g*groupSize, ws, nil, nil)
 		return err
 	})
@@ -233,8 +233,8 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 	// solves — never another group's — so pruning decisions do not
 	// depend on cross-group timing.
 	err = r.sched.ForEach(ctx, nGroups, func(g int) error {
-		ws := r.getWS()
-		defer r.putWS(ws)
+		ws := getWS()
+		defer putWS(ws)
 		var known []float64
 		threshold := math.Inf(1)
 		if prune {

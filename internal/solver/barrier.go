@@ -70,8 +70,10 @@ type Options struct {
 	// This keeps phase I bounded when the feasible set is unbounded.
 	// Default 60 (generous for log-space trip counts); negative disables.
 	Box float64
-	// Obs receives solver telemetry: phase spans, Newton-iteration and
-	// line-search-backtrack counters, and Trace-level stall diagnostics.
+	// Obs receives solver telemetry: phase spans, the Newton-iteration,
+	// line-search-backtrack and Newton-stall counters
+	// (solver.newton_iters, solver.linesearch_backtracks,
+	// solver.newton_stalls), and Trace-level stall diagnostics.
 	// Nil disables all of it at the cost of a few nil checks.
 	Obs *obs.Obs
 	// Span, when tracing, parents this solve's phase spans (so each GP
@@ -245,7 +247,7 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 			}
 		}
 		y := recover(z)
-		return Result{Y: y, Objective: p.Obj.Value(y), Status: Optimal}, nil
+		return Result{Y: y, Objective: ws.value(&p.Obj, y), Status: Optimal}, nil
 	}
 
 	// Initial z: project the hint onto the manifold coordinates.
@@ -328,35 +330,13 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	y := recover(z)
 	return Result{
 		Y:          y,
-		Objective:  p.Obj.Value(y),
+		Objective:  ws.value(&p.Obj, y),
 		Status:     status,
 		Newton:     totalNewton,
 		Centerings: centerings,
 		Gap:        finalGap,
 		PhaseI:     usedPhaseI,
 	}, nil
-}
-
-// boxConstraints returns the 2n constraints |y_i| ≤ box.
-func boxConstraints(n int, box float64) []LSE {
-	out := make([]LSE, 0, 2*n)
-	for i := 0; i < n; i++ {
-		hi := make([]float64, n)
-		hi[i] = 1
-		out = append(out, Linear(hi, -box))
-		lo := make([]float64, n)
-		lo[i] = -1
-		out = append(out, Linear(lo, -box))
-	}
-	return out
-}
-
-func identity(n int) *linalg.Dense {
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // projectHint solves min ||yPart + Z z − yHint||² for z. The Gram
@@ -406,21 +386,16 @@ func phaseI(ws *Workspace, ineq []LSE, z0 []float64, opts Options) ([]float64, b
 	dim := nz + 1
 	// Extended constraints fi(z) − s ≤ 0 plus a floor s ≥ −1
 	// (−s − 1 ≤ 0) to keep the problem bounded.
-	ws.extScratch = growLSEs(&ws.extScratch, len(ineq)+1)
-	ext := ws.extList[:0]
+	ext := growLSEs(&ws.extScratch, len(ineq)+1)
 	for i := range ineq {
-		extendInto(&ws.extScratch[i], &ineq[i], dim, -1)
-		ext = append(ext, ws.extScratch[i])
+		extendInto(&ext[i], &ineq[i], dim, -1)
 	}
-	fl := &ws.extScratch[len(ineq)]
 	floor := growF(&ws.hintD, dim) // hintD is free during phase I
 	for i := range floor {
 		floor[i] = 0
 	}
 	floor[dim-1] = -1
-	linearInto(fl, floor, -1)
-	ext = append(ext, *fl)
-	ws.extList = ext
+	linearInto(&ext[len(ineq)], floor, -1)
 
 	// Objective: minimize s.
 	objA := floor // reuse: only the last coordinate differs
@@ -470,22 +445,29 @@ func phaseI(ws *Workspace, ineq []LSE, z0 []float64, opts Options) ([]float64, b
 // count, and whether the decrement tolerance was reached. f0 may be
 // nil-adjacent only via ineq==nil unconstrained mode (then the barrier
 // term is absent).
+//
+// The Hessian is assembled in its lower triangle only, over the nonzero
+// columns of each function: that is all SolveSPDTo reads. A step the line
+// search accepts but that leaves z bit-identical ends the minimization
+// unconverged: every later iteration would evaluate the same point and
+// repeat the same step until MaxNewton.
 func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, opts Options, stop func([]float64) bool) (iters, bt int, converged bool) {
 	n := len(z)
 	log := opts.Obs.Logger()
 	backtracks := opts.Obs.Counter("solver.linesearch_backtracks")
+	stalls := opts.Obs.Counter("solver.newton_stalls")
 	g := growF(&ws.g, n)
 	h := growDense(&ws.h, n, n)
 	gTmp := growF(&ws.gTmp, n)
 	hTmp := growDense(&ws.hTmp, n, n)
 
 	// evalLSE routes multi-term evaluations through workspace scratch so
-	// the inner loop stays allocation-free (the single-term fast path
-	// inside Eval never needed scratch).
+	// the inner loop stays allocation-free. It writes the lower triangle
+	// of f's columns of h, which must be zero there.
 	evalLSE := func(f *LSE, y []float64, g []float64, h *linalg.Dense) float64 {
 		k := len(f.B)
 		if k == 1 {
-			return f.Eval(y, g, h)
+			return f.evalAffine(y, g)
 		}
 		return f.evalScratch(y, g, h, growF(&ws.evalU, k), growF(&ws.evalP, k))
 	}
@@ -493,29 +475,36 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 	eval := func(z []float64, needDeriv bool) (float64, bool) {
 		var val float64
 		if needDeriv {
+			for r := 0; r < n; r++ {
+				clear(h.Data[r*n : r*n+r+1])
+			}
 			val = t * evalLSE(f0, z, g, h)
 			linalg.Scale(t, g)
-			for i := range h.Data {
-				h.Data[i] *= t
+			for r := 0; r < n; r++ {
+				linalg.Scale(t, h.Data[r*n:r*n+r+1])
 			}
 		} else {
 			val = t * f0.Value(z)
 		}
 		for i := range ineq {
+			f := &ineq[i]
 			// Affine constraints (single-term LSEs: box walls, trip lower
 			// bounds — the bulk of every GP here) have an exactly-zero
 			// Hessian, so skip both its evaluation and its accumulation;
-			// only the rank-1 barrier curvature inv²·g·gᵀ remains.
-			affine := ineq[i].Terms() == 1
+			// only the rank-1 barrier curvature inv²·a·aᵀ remains.
+			affine := len(f.B) == 1
 			var fi float64
-			if needDeriv {
-				if affine {
-					fi = ineq[i].Eval(z, gTmp, nil)
-				} else {
-					fi = evalLSE(&ineq[i], z, gTmp, hTmp)
+			if needDeriv && !affine {
+				cols := f.cols()
+				for x, r := range cols {
+					row := hTmp.Data[int(r)*n:]
+					for _, c := range cols[:x+1] {
+						row[c] = 0
+					}
 				}
+				fi = evalLSE(f, z, gTmp, hTmp)
 			} else {
-				fi = ineq[i].Value(z)
+				fi = f.Value(z)
 			}
 			if fi >= 0 {
 				if needDeriv && log.Enabled(obs.Trace) {
@@ -524,32 +513,35 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 				return math.Inf(1), false
 			}
 			val -= math.Log(-fi)
-			if needDeriv {
-				inv := -1.0 / fi // positive
-				linalg.AXPY(inv, gTmp, g)
-				inv2 := inv * inv
-				if affine {
-					for r := 0; r < n; r++ {
-						gr := gTmp[r]
-						for c := 0; c <= r; c++ {
-							v := inv2 * gr * gTmp[c]
-							h.Add(r, c, v)
-							if c != r {
-								h.Add(c, r, v)
-							}
-						}
-					}
-					continue
+			if !needDeriv {
+				continue
+			}
+			inv := -1.0 / fi // positive
+			inv2 := inv * inv
+			if affine {
+				// The gradient is the row a itself.
+				a, nz := f.A[0], f.nz(0)
+				for _, j := range nz {
+					g[j] += inv * a[j]
 				}
-				for r := 0; r < n; r++ {
-					gr := gTmp[r]
-					for c := 0; c <= r; c++ {
-						v := inv2*gr*gTmp[c] + inv*hTmp.At(r, c)
-						h.Add(r, c, v)
-						if c != r {
-							h.Add(c, r, v)
-						}
+				for x, r := range nz {
+					gr := a[r]
+					row := h.Data[int(r)*n:]
+					for _, c := range nz[:x+1] {
+						row[c] += inv2 * gr * a[c]
 					}
+				}
+				continue
+			}
+			cols := f.cols()
+			for _, j := range cols {
+				g[j] += inv * gTmp[j]
+			}
+			for x, r := range cols {
+				gr := gTmp[r]
+				row, hrow := h.Data[int(r)*n:], hTmp.Data[int(r)*n:]
+				for _, c := range cols[:x+1] {
+					row[c] += inv2*gr*gTmp[c] + inv*hrow[c]
 				}
 			}
 		}
@@ -587,11 +579,12 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 		// Backtracking line search (Armijo, alpha=0.25, beta=0.5), with
 		// implicit feasibility filtering via +Inf values.
 		step := 1.0
-		improved := false
+		improved, moved := false, false
 		for ls := 0; ls < 60; ls++ {
 			copy(zTrial, z)
 			linalg.AXPY(step, d, zTrial)
 			if tv, tok := eval(zTrial, false); tok && tv <= val-0.25*step*lambda2 {
+				moved = !sameBits(zTrial, z)
 				copy(z, zTrial)
 				improved = true
 				bt += ls
@@ -603,6 +596,7 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 		if !improved {
 			bt += 60
 			backtracks.Add(60)
+			stalls.Inc()
 			// No progress possible at machine precision.
 			if log.Enabled(obs.Trace) {
 				log.Tracef("solver: line search stalled at iter %d t=%g val=%g lambda2=%g", it, t, val, lambda2)
@@ -612,6 +606,26 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 		if stop != nil && stop(z) {
 			return it + 1, bt, true
 		}
+		if !moved {
+			// The accepted step rounded away entirely: the Armijo test
+			// passed on rounding noise, and every further iteration would
+			// replay this one from the same z.
+			stalls.Inc()
+			if log.Enabled(obs.Trace) {
+				log.Tracef("solver: accepted step left z unchanged at iter %d t=%g val=%g lambda2=%g", it, t, val, lambda2)
+			}
+			return it + 1, bt, false
+		}
 	}
 	return opts.MaxNewton, bt, false
+}
+
+// sameBits reports whether a and b hold bit-identical values.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

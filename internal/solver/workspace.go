@@ -32,20 +32,24 @@ type Workspace struct {
 	yPart     []float64
 	zBasis    *linalg.Dense
 	boxComp   []LSE // box constraints composed against zBasis
+	boxRaw    LSE   // one box constraint before composition
 	ztz       *linalg.Dense
 	ztzValid  bool
 
+	// rawObj indexes the caller's objective while Solve evaluates the
+	// reported objective value; it borrows the rows only for that call.
+	rawObj LSE
+
 	// Composed-function scratch: per-solve objective and inequality
-	// headers whose row and offset slices are reused at high-water mark.
+	// headers whose row, offset and nonzero-column slices are reused at
+	// high-water mark.
 	objScratch  LSE
 	ineqScratch []LSE
 	ineqList    []LSE
 
-	// Phase-I scratch: extended constraints, objective/floor rows, and
-	// the extended iterate.
+	// Phase-I scratch: extended constraints (the slack floor last), the
+	// objective row, and the extended iterate.
 	extScratch []LSE
-	extList    []LSE
-	floorLSE   LSE
 	phObjLSE   LSE
 	phX        []float64
 
@@ -93,8 +97,8 @@ func growDense(m **linalg.Dense, rows, cols int) *linalg.Dense {
 }
 
 // composeInto writes f composed with the affine map y = y0 + Z·z into
-// dst, reusing dst's row and offset storage. Numerically identical to
-// LSE.Compose.
+// dst, reusing dst's row, offset and column-list storage. LSE.Compose
+// is this with a fresh dst.
 func composeInto(dst *LSE, f *LSE, y0 []float64, z *linalg.Dense) {
 	k := len(f.B)
 	if cap(dst.A) < k {
@@ -107,6 +111,7 @@ func composeInto(dst *LSE, f *LSE, y0 []float64, z *linalg.Dense) {
 		z.MulTransVec(f.A[i], row)
 		dst.B[i] = f.B[i] + linalg.Dot(f.A[i], y0)
 	}
+	dst.index()
 }
 
 // linearInto builds the affine LSE a·y + b into dst, reusing dst's
@@ -121,11 +126,12 @@ func linearInto(dst *LSE, a []float64, b float64) {
 	dst.A[0] = row
 	dst.B = growF(&dst.B, 1)
 	dst.B[0] = b
+	dst.index()
 }
 
 // extendInto writes f over a space widened to newDim with coefficient
 // coefLast on the final coordinate into dst, reusing dst's storage.
-// Numerically identical to LSE.ExtendDim.
+// LSE.ExtendDim is this with a fresh dst.
 func extendInto(dst *LSE, f *LSE, newDim int, coefLast float64) {
 	k := len(f.B)
 	if cap(dst.A) < k {
@@ -143,6 +149,20 @@ func extendInto(dst *LSE, f *LSE, newDim int, coefLast float64) {
 		row[newDim-1] = coefLast
 		dst.A[i] = row
 	}
+	dst.index()
+}
+
+// value returns f(y) for a caller-supplied f. A literal LSE is indexed
+// into workspace storage rather than allocating its column lists.
+func (ws *Workspace) value(f *LSE, y []float64) float64 {
+	if len(f.idx) > 0 {
+		return f.Value(y)
+	}
+	ws.rawObj.A, ws.rawObj.B = f.A, f.B
+	ws.rawObj.index()
+	v := ws.rawObj.Value(y)
+	ws.rawObj.A, ws.rawObj.B = nil, nil
+	return v
 }
 
 // sameFloats reports exact element-wise equality.
@@ -203,13 +223,19 @@ func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis
 		}
 		ws.cachedAeq = nil
 	}
-	// Compose the box constraints once per cache fill; every solve that
-	// hits the cache reuses them read-only.
+	// Compose the 2N box constraints ±y_i − box ≤ 0 once per cache fill;
+	// every solve that hits the cache reuses them read-only.
 	if box > 0 {
-		raw := boxConstraints(p.N, box)
-		ws.boxComp = growLSEs(&ws.boxComp, len(raw))
-		for i := range raw {
-			composeInto(&ws.boxComp[i], &raw[i], ws.yPart, ws.zBasis)
+		ws.boxComp = growLSEs(&ws.boxComp, 2*p.N)
+		unit := growF(&ws.hintD, p.N) // hintD is free until projectHint
+		clear(unit)
+		for i := 0; i < p.N; i++ {
+			for s, sign := range [2]float64{1, -1} {
+				unit[i] = sign
+				linearInto(&ws.boxRaw, unit, -box)
+				composeInto(&ws.boxComp[2*i+s], &ws.boxRaw, ws.yPart, ws.zBasis)
+			}
+			unit[i] = 0
 		}
 	} else {
 		ws.boxComp = ws.boxComp[:0]

@@ -2,8 +2,8 @@
 # bench.sh runs the tier-1 performance benchmarks (cold/warm single-layer
 # optimize, the whole-network warm-cache sweep, the sequential vs
 # scheduled whole-network comparison, the tracing-off vs tracing-on
-# overhead pair, and the thistled warm-request service overhead) with
-# -benchmem and
+# overhead pair, the thistled warm-request service overhead, and the
+# solver.Solve rung on the captured resnet18_L6 GPs) with -benchmem and
 # records the result as a JSON trajectory point BENCH_<date>.json at the
 # repo root, via scripts/benchjson. Successive points form the repo's
 # performance history; diff them the same way tlreport diffs manifests.
@@ -32,10 +32,10 @@ if [ -e "$out" ]; then
         exit 1
     fi
 fi
-pattern='BenchmarkOptimizeColdCache|BenchmarkOptimizeColdPruned|BenchmarkOptimizeWarmCache|BenchmarkNetworkWarmCache|BenchmarkNetworkScheduler|BenchmarkOptimizeTracing|BenchmarkServeWarm'
+pattern='BenchmarkOptimizeColdCache|BenchmarkOptimizeColdPruned|BenchmarkOptimizeWarmCache|BenchmarkNetworkWarmCache|BenchmarkNetworkScheduler|BenchmarkOptimizeTracing|BenchmarkServeWarm|BenchmarkSolveL6'
 
 echo "== go test -bench ($pattern)"
-go test -run '^$' -bench "$pattern" -benchmem "$@" . \
+go test -run '^$' -bench "$pattern" -benchmem "$@" . ./internal/solver \
     | go run ./scripts/benchjson "$out"
 
 echo "== wrote $out"
