@@ -367,6 +367,33 @@ func BenchmarkOptimizeColdCache(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeColdDelayL2 is the integerization rung: a cold delay
+// optimization of resnet18_L2, the Table II layer with the largest
+// integer candidate space (1.86 M candidates over its six searches at
+// the default ladder width 3). ns/candidate divides the whole
+// optimization's time by the candidates, so it bounds the per-candidate
+// cost of the search from above.
+func BenchmarkOptimizeColdDelayL2(b *testing.B) {
+	l, _ := workloads.ByName("resnet18_L2")
+	p, err := l.Problem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := arch.Eyeriss()
+	opts := core.Options{Criterion: model.MinDelay, Mode: core.FixedArch, Arch: &a}
+	cands := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Optimize(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cands += res.Stats.Candidates
+	}
+	b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
+}
+
 // BenchmarkOptimizeColdPruned isolates the solve-path optimizations
 // that BenchmarkOptimizeColdCache now includes by default: "on" runs
 // with bound pruning and hybrid warm starts (reporting how many class

@@ -165,20 +165,32 @@ func (n *Nest) AssignmentInto(dst []float64, trips [][]int64) []float64 {
 	for i := range x {
 		x[i] = 1
 	}
+	for it := range n.Prob.Iters {
+		n.AssignIter(x, it, trips)
+	}
+	return x
+}
+
+// AssignIter writes the trip variables of iterator it into x as
+// AssignmentInto does: the trip from trips (1 when missing), then the
+// iterator's pinned values. Other entries of x are left alone, so an
+// evaluator can update one iterator's variables at a time.
+func (n *Nest) AssignIter(x []float64, it int, trips [][]int64) {
 	for li := range n.Levels {
-		for it, v := range n.Levels[li].Trips {
-			if v == expr.NoVar {
-				continue
-			}
-			if li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
-				x[v] = float64(trips[li][it])
-			}
+		v := n.Levels[li].Trips[it]
+		if v == expr.NoVar {
+			continue
+		}
+		x[v] = 1
+		if li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
+			x[v] = float64(trips[li][it])
 		}
 	}
 	for _, pin := range n.Pins {
-		x[pin.Var] = pin.Value
+		if n.IterOfVar(pin.Var) == it {
+			x[pin.Var] = pin.Value
+		}
 	}
-	return x
 }
 
 // CheckTrips validates that per-level trips multiply to the full extents
@@ -187,33 +199,71 @@ func (n *Nest) CheckTrips(trips [][]int64) error {
 	if len(trips) != len(n.Levels) {
 		return fmt.Errorf("%w: got %d levels of trips, want %d", ErrBadNest, len(trips), len(n.Levels))
 	}
-	for it, iter := range n.Prob.Iters {
-		prod := int64(1)
-		for li := range n.Levels {
-			tv := int64(1)
-			if it < len(trips[li]) && trips[li][it] > 0 {
-				tv = trips[li][it]
-			}
-			if n.Levels[li].Trips[it] == expr.NoVar && tv != 1 {
-				return fmt.Errorf("%w: iterator %s has trip %d at inactive level %s", ErrBadNest, iter.Name, tv, n.Levels[li].Name)
-			}
-			prod *= tv
-		}
-		if prod != iter.Extent {
-			return fmt.Errorf("%w: iterator %s trips multiply to %d, want %d", ErrBadNest, iter.Name, prod, iter.Extent)
+	for it := range n.Prob.Iters {
+		if err := n.checkIterProduct(trips, it); err != nil {
+			return err
 		}
 	}
 	for _, pin := range n.Pins {
-		it := n.IterOfVar(pin.Var)
-		li := n.levelOfVar(pin.Var)
+		if err := n.checkPin(trips, pin); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckIter is CheckTrips restricted to iterator it: its trips multiply
+// to its extent, are 1 at its inactive levels, and match its pins.
+// CheckTrips passes exactly when trips has one row per level and
+// CheckIter passes for every iterator, so an evaluator can check each
+// iterator's tiling choices once instead of once per combination.
+func (n *Nest) CheckIter(trips [][]int64, it int) error {
+	if len(trips) != len(n.Levels) {
+		return fmt.Errorf("%w: got %d levels of trips, want %d", ErrBadNest, len(trips), len(n.Levels))
+	}
+	if err := n.checkIterProduct(trips, it); err != nil {
+		return err
+	}
+	for _, pin := range n.Pins {
+		if n.IterOfVar(pin.Var) != it {
+			continue
+		}
+		if err := n.checkPin(trips, pin); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (n *Nest) checkIterProduct(trips [][]int64, it int) error {
+	iter := n.Prob.Iters[it]
+	prod := int64(1)
+	for li := range n.Levels {
 		tv := int64(1)
-		if li >= 0 && li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
+		if it < len(trips[li]) && trips[li][it] > 0 {
 			tv = trips[li][it]
 		}
-		if float64(tv) != pin.Value {
-			return fmt.Errorf("%w: iterator %s pinned to %g at level %s but trip is %d",
-				ErrBadNest, n.Prob.Iters[it].Name, pin.Value, n.Levels[li].Name, tv)
+		if n.Levels[li].Trips[it] == expr.NoVar && tv != 1 {
+			return fmt.Errorf("%w: iterator %s has trip %d at inactive level %s", ErrBadNest, iter.Name, tv, n.Levels[li].Name)
 		}
+		prod *= tv
+	}
+	if prod != iter.Extent {
+		return fmt.Errorf("%w: iterator %s trips multiply to %d, want %d", ErrBadNest, iter.Name, prod, iter.Extent)
+	}
+	return nil
+}
+
+func (n *Nest) checkPin(trips [][]int64, pin Pin) error {
+	it := n.IterOfVar(pin.Var)
+	li := n.levelOfVar(pin.Var)
+	tv := int64(1)
+	if li >= 0 && li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
+		tv = trips[li][it]
+	}
+	if float64(tv) != pin.Value {
+		return fmt.Errorf("%w: iterator %s pinned to %g at level %s but trip is %d",
+			ErrBadNest, n.Prob.Iters[it].Name, pin.Value, n.Levels[li].Name, tv)
 	}
 	return nil
 }

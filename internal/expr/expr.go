@@ -451,6 +451,27 @@ func (p Poly) Key() string {
 	return b.String()
 }
 
+// Identical reports whether p and q hold the same monomials in the same
+// order with bit-identical coefficients and exponents, so that Eval
+// returns the same bits for both on every assignment.
+func (p Poly) Identical(q Poly) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for i := range p {
+		a, b := p[i], q[i]
+		if math.Float64bits(a.Coeff) != math.Float64bits(b.Coeff) || len(a.Terms) != len(b.Terms) {
+			return false
+		}
+		for j := range a.Terms {
+			if a.Terms[j].Var != b.Terms[j].Var || math.Float64bits(a.Terms[j].Exp) != math.Float64bits(b.Terms[j].Exp) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SubstConst returns a copy of p with every variable in vals replaced by
 // its constant value (folded into coefficients). Canonicalization merges
 // the resulting like terms, so pinned-variable extents such as

@@ -349,3 +349,25 @@ func TestProductSubstConst(t *testing.T) {
 		t.Fatal("folded product should expand to posynomial")
 	}
 }
+
+func TestPolyIdentical(t *testing.T) {
+	_, v := newVars(t, "a", "b")
+	p := PolyFrom(Mono(2, v[0]), Const(-1))
+	if !p.Identical(p.Clone()) {
+		t.Fatal("a polynomial is not identical to its clone")
+	}
+	for name, q := range map[string]Poly{
+		"coefficient": PolyFrom(Mono(3, v[0]), Const(-1)),
+		"variable":    PolyFrom(Mono(2, v[1]), Const(-1)),
+		"exponent":    PolyFrom(MonoPow(2, v[0], 2), Const(-1)),
+		"length":      PolyFrom(Mono(2, v[0])),
+	} {
+		if p.Identical(q) || q.Identical(p) {
+			t.Errorf("%s: %v reported identical to %v", name, q, p)
+		}
+	}
+	// Eval can tell a -0 coefficient from a +0 one, so Identical does too.
+	if (Poly{Const(0)}).Identical(Poly{Const(math.Copysign(0, -1))}) {
+		t.Error("signed zeros reported identical")
+	}
+}

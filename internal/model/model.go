@@ -136,16 +136,6 @@ type Report struct {
 // Valid reports whether the mapping satisfied all constraints.
 func (r *Report) Valid() bool { return len(r.Violations) == 0 }
 
-// Clone returns a deep copy of r. Session-owned reports are only valid
-// until the session's next Evaluate call; keep a Clone instead.
-func (r *Report) Clone() *Report {
-	c := *r
-	if r.Violations != nil {
-		c.Violations = append([]string(nil), r.Violations...)
-	}
-	return &c
-}
-
 // Evaluator evaluates mappings of one nest, caching the symbolic volume
 // expressions per permutation choice (they are trip-value independent).
 // It is safe for concurrent use.
@@ -201,93 +191,69 @@ func (e *Evaluator) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	s := EvalSession{e: e, vols: v}
-	return s.Evaluate(a, m)
-}
-
-// EvalSession evaluates many mappings that share one permutation choice
-// — the shape of the integerization search, which streams thousands of
-// trip-count variants of a single relaxed solution. The session pins the
-// (cached) symbolic volumes once and reuses its assignment buffer and
-// Report across calls, so steady-state evaluation does not allocate.
-//
-// The returned *Report is owned by the session and overwritten by the
-// next Evaluate call; callers that keep one must Clone it. A session is
-// not safe for concurrent use (create one per goroutine; they share the
-// evaluator's locked volume cache).
-type EvalSession struct {
-	e    *Evaluator
-	vols *dataflow.Volumes
-	x    []float64
-	rep  Report
-	// Quick elides the formatted violation messages: an invalid mapping
-	// gets a static placeholder instead. Validity (Report.Valid) is
-	// unchanged; searches that only filter on it avoid the fmt cost.
-	Quick bool
-}
-
-// Quick-mode violation placeholders (see EvalSession.Quick).
-var (
-	violRegQuick  = "register footprint over capacity"
-	violSRAMQuick = "SRAM footprint over capacity"
-	violPEQuick   = "PEs used over capacity"
-)
-
-// Session pins the symbolic volumes for one permutation choice,
-// computing (or fetching from the evaluator's cache) them once.
-func (e *Evaluator) Session(perms [][]int) (*EvalSession, error) {
-	v, err := e.volumes(perms)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
-	}
-	return &EvalSession{e: e, vols: v}, nil
-}
-
-// Evaluate computes the report for a mapping whose Perms match the
-// session's. See Evaluator.Evaluate for semantics and EvalSession for
-// the ownership rules of the returned Report.
-func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
-	e := s.e
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	if err := e.Nest.CheckTrips(m.Trips); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	v := s.vols
+	if err := checkBoundaries(v); err != nil {
+		return nil, err
+	}
+	x := e.Nest.Assignment(e.Nest.Vars.Len(), m.Trips)
+	r := &Report{
+		Ops:           e.Nest.Prob.Ops(),
+		TrafficSR:     v.EvalTraffic(0, x),
+		TrafficDS:     v.EvalTraffic(1, x),
+		RegFootprint:  v.EvalFootprint(0, x),
+		SRAMFootprint: v.EvalFootprint(1, x),
+		PEsUsed:       1,
+	}
+	for it := range e.Nest.Prob.Iters {
+		r.PEsUsed *= spatialTrips(e.Nest, m.Trips, it)
+	}
+	r.finish(a)
+	r.Violations = r.violations(a)
+	return r, nil
+}
+
+func checkBoundaries(v *dataflow.Volumes) error {
 	if len(v.Boundaries) != 2 {
-		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, len(v.Boundaries))
+		return fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, len(v.Boundaries))
 	}
-	if n := e.Nest.Vars.Len(); cap(s.x) < n {
-		s.x = make([]float64, n)
-	} else {
-		s.x = s.x[:n]
-	}
-	x := e.Nest.AssignmentInto(s.x, m.Trips)
+	return nil
+}
 
-	viols := s.rep.Violations[:0]
-	r := &s.rep
-	*r = Report{Ops: e.Nest.Prob.Ops()}
-	r.TrafficSR = v.EvalTraffic(0, x)
-	r.TrafficDS = v.EvalTraffic(1, x)
-	r.RegFootprint = v.EvalFootprint(0, x)
-	r.SRAMFootprint = v.EvalFootprint(1, x)
-
-	// PEs used: product of spatial trips.
-	r.PEsUsed = 1
-	for li := range e.Nest.Levels {
-		if e.Nest.Levels[li].Kind != dataflow.Spatial {
+// spatialTrips returns iterator it's share of PEsUsed: the product of
+// its trips above 1 at the nest's spatial levels.
+func spatialTrips(n *dataflow.Nest, trips [][]int64, it int) int64 {
+	p := int64(1)
+	for li := range n.Levels {
+		if n.Levels[li].Kind != dataflow.Spatial || n.Levels[li].Trips[it] == expr.NoVar {
 			continue
 		}
-		for _, it := range e.Nest.Levels[li].Active {
-			if tv := tripAt(m.Trips, li, it); tv > 1 {
-				r.PEsUsed *= tv
-			}
+		if tv := tripAt(trips, li, it); tv > 1 {
+			p *= tv
 		}
 	}
+	return p
+}
+
+// computeCycles is the compute term of the delay model: ops spread over
+// the PEs in use. It bounds Cycles from below, which lets a delay search
+// skip candidates that cannot beat its incumbent.
+func computeCycles(ops float64, pesUsed int64) float64 {
+	return ops / float64(pesUsed)
+}
+
+// finish fills the fields that follow from r's Ops, traffic, footprints
+// and PEsUsed on a: utilization, the energy breakdown of Eq. 3 (plus
+// the optional NoC extension) and the delay of Section V.B. Both
+// Evaluator.Evaluate and Table.Evaluate end here, so the two cannot
+// disagree.
+func (r *Report) finish(a *arch.Arch) {
 	r.Utilization = float64(r.PEsUsed) / float64(a.PEs)
 
-	// Energy per Eq. 3 (plus the optional NoC extension).
 	epsR := a.RegEnergy()
 	epsS := a.SRAMEnergy()
 	epsD := a.Tech.EnergyDRAM
@@ -304,40 +270,28 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	r.Energy = r.Breakdown.Total()
 	r.EnergyPerMAC = r.Energy / ops
 
-	// Delay: max over component throughputs (Section V.B).
-	compute := ops / float64(r.PEsUsed)
+	// Delay: max over component throughputs.
+	compute := computeCycles(ops, r.PEsUsed)
 	regPort := 4 * ops / (float64(r.PEsUsed) * a.Tech.BWReg)
 	sram := (r.TrafficSR + r.TrafficDS) / a.Tech.BWSRAM
 	dram := r.TrafficDS / a.Tech.BWDRAM
 	r.Cycles = math.Max(math.Max(compute, regPort), math.Max(sram, dram))
 	r.IPC = ops / r.Cycles
+}
 
-	// Capacity constraints.
+// violations lists r's capacity violations on a (nil when it fits).
+func (r *Report) violations(a *arch.Arch) []string {
+	var viols []string
 	if r.RegFootprint > float64(a.Regs) {
-		if s.Quick {
-			viols = append(viols, violRegQuick)
-		} else {
-			viols = append(viols, fmt.Sprintf("register footprint %.0f > %d", r.RegFootprint, a.Regs))
-		}
+		viols = append(viols, fmt.Sprintf("register footprint %.0f > %d", r.RegFootprint, a.Regs))
 	}
 	if r.SRAMFootprint > float64(a.SRAM) {
-		if s.Quick {
-			viols = append(viols, violSRAMQuick)
-		} else {
-			viols = append(viols, fmt.Sprintf("SRAM footprint %.0f > %d", r.SRAMFootprint, a.SRAM))
-		}
+		viols = append(viols, fmt.Sprintf("SRAM footprint %.0f > %d", r.SRAMFootprint, a.SRAM))
 	}
 	if r.PEsUsed > a.PEs {
-		if s.Quick {
-			viols = append(viols, violPEQuick)
-		} else {
-			viols = append(viols, fmt.Sprintf("PEs used %d > %d", r.PEsUsed, a.PEs))
-		}
+		viols = append(viols, fmt.Sprintf("PEs used %d > %d", r.PEsUsed, a.PEs))
 	}
-	if len(viols) > 0 {
-		r.Violations = viols
-	}
-	return r, nil
+	return viols
 }
 
 func tripAt(trips [][]int64, li, it int) int64 {

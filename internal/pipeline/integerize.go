@@ -39,9 +39,6 @@ func (integerizeStage) Run(r *Run) error {
 	if top > len(r.solved) {
 		top = len(r.solved)
 	}
-	// One evaluator shared by every job: model.Evaluator is documented
-	// safe for concurrent use (its volume cache is internally locked).
-	ev := model.NewEvaluator(r.nest)
 	iopt := intOptions{
 		nDiv:    r.opts.NDiv,
 		nPow2:   r.opts.NPow2,
@@ -49,6 +46,7 @@ func (integerizeStage) Run(r *Run) error {
 		maxCand: r.opts.MaxCandidates,
 	}
 	candC := r.obs.Counter("core.int_candidates")
+	prunedC := r.obs.Counter("core.int_pruned")
 
 	// integerizePass converts each of the top pairs under shrink(x) and
 	// returns the surviving candidates in pair order.
@@ -57,12 +55,12 @@ func (integerizeStage) Run(r *Run) error {
 		var mu sync.Mutex
 		err := r.sched.ForEach(r.ctx, top, func(i int) error {
 			sp := r.solved[i]
-			c, rep, visited := r.integerizeOne(ev, iopt, candC, shrink(sp.x), sp)
+			res := r.integerizeOne(iopt, candC, prunedC, shrink(sp.x), sp)
 			mu.Lock()
-			r.stats.Candidates += visited
+			r.stats.Candidates += res.visited
 			mu.Unlock()
-			if c != nil {
-				out[i] = &integerized{pair: sp, cand: c, rep: rep}
+			if res.best != nil {
+				out[i] = &integerized{pair: sp, cand: res.best, rep: res.rep}
 			}
 			return nil
 		})
@@ -113,7 +111,7 @@ func (integerizeStage) Run(r *Run) error {
 // integerizeOne converts one relaxed solution to the best integer
 // design, recording an integerize span whose model-eval child covers
 // the streamed candidate evaluation.
-func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Counter, x []float64, sp solvedPair) (*candidate, *model.Report, int) {
+func (r *Run) integerizeOne(iopt intOptions, candC, prunedC *obs.Counter, x []float64, sp solvedPair) searchResult {
 	o := r.obs
 	var ispan *obs.Span
 	if o.TracingEnabled() {
@@ -121,24 +119,17 @@ func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Cou
 	}
 	evalSpan := o.StartSpan(ispan, "model-eval")
 	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
-	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, iopt, r.opts.Criterion)
-	candC.Add(int64(visited))
+	res := searchIntegerCandidates(r.ev, r.nest, perms, x, r.av, iopt, r.opts.Criterion)
+	candC.Add(int64(res.visited))
+	prunedC.Add(int64(res.pruned))
 	if evalSpan != nil {
-		evalSpan.SetAttr("candidates", int64(visited))
+		evalSpan.SetAttr("candidates", int64(res.visited))
+		evalSpan.SetAttr("pruned", int64(res.pruned))
 		evalSpan.End()
-		ispan.SetAttr("found", c != nil)
+		ispan.SetAttr("found", res.best != nil)
 		ispan.End()
 	}
-	return c, rep, visited
-}
-
-// dimCandidate is one integer tiling of a single iterator: SRAM tile S,
-// per-PE tile Q, register tile R (S = N/t·..., with R | Q | S | N).
-type dimCandidate struct {
-	iter    int
-	regTile int64 // R
-	peTile  int64 // Q
-	sramT   int64 // S
+	return res
 }
 
 // nClosest returns the k values from sorted candidates closest to target
@@ -214,11 +205,13 @@ func pow2Candidates(target float64, n int) []int64 {
 }
 
 // dimCandidates generates up to n³ integer tilings for one free iterator
-// following the paper's divisor ladder: SRAM tile candidates from the
-// divisors of the extent, per-PE tile candidates from the divisors of
-// each SRAM candidate, register tile candidates from the divisors of each
-// per-PE candidate.
-func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) []dimCandidate {
+// following the paper's divisor ladder: SRAM tile candidates S from the
+// divisors of the extent, per-PE tile candidates Q from the divisors of
+// each SRAM candidate, register tile candidates R from the divisors of
+// each per-PE candidate (R | Q | S | N). Each tiling is returned as its
+// trips at the four standard levels, deduplicated and ordered by
+// (S, Q, R).
+func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) [][]int64 {
 	extent := n.Prob.Iters[it].Extent
 	lv := make([]float64, 0, 4)
 	for _, v := range n.DimTripVars(it) {
@@ -230,73 +223,72 @@ func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) []dimC
 	realReg := lv[0]
 	realPE := lv[0] * lv[1]
 	realSRAM := lv[0] * lv[1] * lv[2]
-	var out []dimCandidate
+	var sqr [][3]int64
 	for _, s := range nClosest(loopnest.Divisors(extent), realSRAM, opt.nDiv) {
 		for _, q := range nClosest(loopnest.Divisors(s), realPE, opt.nDiv) {
 			for _, r := range nClosest(loopnest.Divisors(q), realReg, opt.nDiv) {
-				out = append(out, dimCandidate{iter: it, regTile: r, peTile: q, sramT: s})
+				sqr = append(sqr, [3]int64{s, q, r})
 			}
 		}
 	}
-	// Deduplicate.
-	slices.SortFunc(out, func(a, b dimCandidate) int {
-		if a.sramT != b.sramT {
-			if a.sramT < b.sramT {
-				return -1
-			}
-			return 1
-		}
-		if a.peTile != b.peTile {
-			if a.peTile < b.peTile {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.regTile < b.regTile:
-			return -1
-		case a.regTile > b.regTile:
-			return 1
-		}
-		return 0
-	})
-	ded := out[:0]
-	for i, c := range out {
-		if i == 0 || c != out[i-1] {
-			ded = append(ded, c)
-		}
+	slices.SortFunc(sqr, func(a, b [3]int64) int { return slices.Compare(a[:], b[:]) })
+	sqr = slices.Compact(sqr)
+	out := make([][]int64, len(sqr))
+	for i, c := range sqr {
+		s, q, r := c[0], c[1], c[2]
+		trips := make([]int64, 4)
+		trips[dataflow.StandardLevelReg] = r
+		trips[dataflow.StandardLevelL1] = q / r
+		trips[dataflow.StandardLevelSpatial] = s / q
+		trips[dataflow.StandardLevelSRAM] = extent / s
+		out[i] = trips
 	}
-	return ded
+	return out
 }
 
-// candidate is one fully integer design point before model evaluation.
+// candidate is one fully integer design point.
 type candidate struct {
 	archCfg arch.Arch
 	mapping *model.Mapping
 }
 
+// searchResult is the outcome of one integerization search.
+type searchResult struct {
+	best *candidate
+	rep  *model.Report
+	// visited counts the candidates evaluated or skipped, over both
+	// passes of a MinUtilization retry.
+	visited int
+	// pruned counts the candidates the delay floor skipped.
+	pruned int
+}
+
 // searchIntegerCandidates streams the integer candidate space — the
 // cross product of per-dimension divisor-ladder tilings and (in
-// co-design mode) power-of-two capacities — directly through model
-// evaluation, keeping only the best valid design. Streaming avoids
-// materializing the cross product (which reaches millions of mappings at
-// ladder width 3), and the visit counter caps runaway spaces without
-// biasing which region gets cut: the cap applies to evaluations, and the
-// ladder orders each dimension's choices by proximity to the relaxed
-// solution, so the nearest region is covered first.
-func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, visited int) {
-	var freeIters []int
+// co-design mode) power-of-two capacities — through a model.Table,
+// keeping only the best valid design. Streaming avoids materializing
+// the cross product (which reaches millions of mappings at ladder width
+// 3), and the visit counter caps runaway spaces without biasing which
+// region gets cut: the cap applies to evaluations, and the ladder
+// orders each dimension's choices by proximity to the relaxed solution,
+// so the nearest region is covered first.
+//
+// Under MinDelay, a candidate whose compute term ops/PEsUsed (a lower
+// bound on its cycles) is not below the incumbent's cycles cannot win
+// the strict comparison, so it is skipped unevaluated. It still counts
+// as visited, so the cap and the reported candidate count do not
+// depend on the skip.
+func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (res searchResult) {
+	var dims []model.Choices
 	for it := range n.Prob.Iters {
-		if len(n.DimTripVars(it)) == 4 {
-			freeIters = append(freeIters, it)
+		if len(n.DimTripVars(it)) != 4 {
+			continue
 		}
-	}
-	perDim := make([][]dimCandidate, len(freeIters))
-	for i, it := range freeIters {
-		perDim[i] = dimCandidates(n, it, x, opt)
-		if len(perDim[i]) == 0 {
-			return nil, nil, 0
+		trips := dimCandidates(n, it, x, opt)
+		if len(trips) == 0 {
+			return res
 		}
+		dims = append(dims, model.Choices{Iter: it, Trips: trips})
 	}
 	var archs []arch.Arch
 	if av.mode == CoDesign {
@@ -310,102 +302,87 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	} else {
 		archs = []arch.Arch{av.fixed}
 	}
-
-	// All candidates of this search share one permutation choice, so pin
-	// the symbolic volumes in a session and stream every mapping through
-	// it. Quick mode skips formatted violation messages — rejected
-	// reports are discarded, and the winner (valid by construction) has
-	// none.
-	sess, err := ev.Session(perms)
-	if err != nil {
-		return nil, nil, 0
+	// A co-design candidate takes its PE count from the mapping, which
+	// is at least 1, so validating with PEs 1 covers every candidate.
+	archOK := make([]bool, len(archs))
+	for i := range archs {
+		archOK[i] = archs[i].Validate() == nil
 	}
-	sess.Quick = true
 
-	// One mapping, mutated per leaf: every leaf overwrites all four trip
-	// levels of every free iterator, and consider() clones on keep, so
-	// reuse cannot leak state between candidates.
-	m := buildMapping(n, perms, nil)
-
-	consider := func(c *candidate, minUtil float64) {
-		rep, err := sess.Evaluate(&c.archCfg, c.mapping)
-		if err != nil || !rep.Valid() {
-			return
-		}
-		if av.mode == FixedArch && rep.Utilization < minUtil {
-			return
-		}
-		if bestRep == nil || model.Score(crit, rep) < model.Score(crit, bestRep) {
-			cc := *c
-			cc.mapping = c.mapping.Clone()
-			best, bestRep = &cc, rep.Clone()
+	tab, err := ev.Tabulate(perms, dims)
+	if err != nil {
+		return res
+	}
+	// The walk keeps the winner as a selection and a report value; its
+	// mapping is built once, after the walk.
+	var (
+		rep, bestRep model.Report
+		bestArch     arch.Arch
+		found        bool
+		sel, bestSel = make([]int, len(dims)), make([]int, len(dims))
+	)
+	leaf := func(minUtil float64) {
+		pes := tab.PEsUsed()
+		for i := range archs {
+			a := &archs[i]
+			if av.mode == CoDesign {
+				a.PEs = pes
+				if a.Area() > av.budget {
+					continue
+				}
+			}
+			res.visited++
+			if !archOK[i] {
+				continue
+			}
+			if crit == model.MinDelay && found && !(tab.ComputeCycles() < bestRep.Cycles) {
+				res.pruned++
+				continue
+			}
+			if !tab.Evaluate(a, &rep) {
+				continue
+			}
+			if av.mode == FixedArch && rep.Utilization < minUtil {
+				continue
+			}
+			if !found || model.Score(crit, &rep) < model.Score(crit, &bestRep) {
+				found, bestRep, bestArch = true, rep, *a
+				copy(bestSel, sel)
+			}
 		}
 	}
 
 	run := func(minUtil float64) {
-		dims := make([]dimCandidate, 0, len(perDim))
-		var rec func(i int)
-		rec = func(i int) {
-			if visited >= opt.maxCand {
+		var rec func(d int)
+		rec = func(d int) {
+			if res.visited >= opt.maxCand {
 				return
 			}
-			if i == len(perDim) {
-				applyDims(n, m, dims)
-				for _, a := range archs {
-					ac := a
-					if av.mode == CoDesign {
-						pes := int64(1)
-						for _, d := range dims {
-							pes *= d.sramT / d.peTile
-						}
-						ac.PEs = pes
-						if ac.Area() > av.budget {
-							continue
-						}
-					}
-					visited++
-					consider(&candidate{archCfg: ac, mapping: m}, minUtil)
-				}
+			if d == len(dims) {
+				leaf(minUtil)
 				return
 			}
-			for _, c := range perDim[i] {
-				dims = append(dims, c)
-				rec(i + 1)
-				dims = dims[:len(dims)-1]
+			for c := range dims[d].Trips {
+				sel[d] = c
+				tab.Set(d, c)
+				rec(d + 1)
 			}
 		}
 		rec(0)
 	}
 	run(opt.minUtil)
-	if best == nil && opt.minUtil > 0 {
-		visited = 0
+	if !found && opt.minUtil > 0 {
+		// The retry gets the full cap again; the count covers both
+		// passes.
+		first := res.visited
+		res.visited = 0
 		run(0)
+		res.visited += first
 	}
-	return best, bestRep, visited
-}
-
-// buildMapping converts per-iterator tiling choices into a Mapping over
-// the standard nest, starting from the pinned base.
-func buildMapping(n *dataflow.Nest, perms [][]int, dims []dimCandidate) *model.Mapping {
-	m := model.UniformMapping(n)
-	m.Perms = make([][]int, len(perms))
-	for i, p := range perms {
-		if p != nil {
-			m.Perms[i] = append([]int(nil), p...)
-		}
+	if found {
+		tab.Select(bestSel)
+		res.best = &candidate{archCfg: bestArch, mapping: tab.Mapping()}
+		res.rep = &bestRep
 	}
-	applyDims(n, m, dims)
-	return m
-}
-
-// applyDims writes per-iterator tiling choices into an existing mapping
-// (all four standard levels of each chosen iterator are overwritten).
-func applyDims(n *dataflow.Nest, m *model.Mapping, dims []dimCandidate) {
-	for _, d := range dims {
-		extent := n.Prob.Iters[d.iter].Extent
-		m.Trips[dataflow.StandardLevelReg][d.iter] = d.regTile
-		m.Trips[dataflow.StandardLevelL1][d.iter] = d.peTile / d.regTile
-		m.Trips[dataflow.StandardLevelSpatial][d.iter] = d.sramT / d.peTile
-		m.Trips[dataflow.StandardLevelSRAM][d.iter] = extent / d.sramT
-	}
+	return res
 }

@@ -56,7 +56,8 @@ type Options struct {
 	// MinUtilization filters fixed-arch integer candidates (default 0,
 	// i.e. disabled; the paper mentions a threshold without a value).
 	MinUtilization float64
-	// MaxCandidates caps the integerization cross product (default 65536).
+	// MaxCandidates caps the integerization cross product (default
+	// 1<<20 = 1048576 per search).
 	MaxCandidates int
 	// TopClasses is how many best GP class pairs are integerized
 	// (default 3).

@@ -59,6 +59,10 @@ type Run struct {
 	nest *dataflow.Nest
 	av   *archVars
 	varT expr.VarID
+	// ev evaluates integer mappings of nest for Integerize and Validate.
+	// model.Evaluator is safe for concurrent use, and sharing it lets
+	// Validate reuse the volumes Integerize computed.
+	ev *model.Evaluator
 
 	// Stage products, in pipeline order.
 	classesL1, classesSRAM []dataflow.PermClass // Enumerate
@@ -238,20 +242,10 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 		return nil, err
 	}
 	o := obs.FromContext(ctx)
-	nest, err := dataflow.StandardNest(p, opts.Nest)
+	nest, av, varT, err := newNest(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Architecture variables (registered on the shared VarSet so they can
-	// appear in the same GP as the trip counts), and the delay variable.
-	av := &archVars{mode: opts.Mode, tech: opts.Arch.Tech, fixed: *opts.Arch, budget: opts.AreaBudget}
-	if opts.Mode == CoDesign {
-		av.varR = nest.Vars.NewVar("arch_R")
-		av.varS = nest.Vars.NewVar("arch_S")
-		av.varP = nest.Vars.NewVar("arch_P")
-	}
-	varT := nest.Vars.NewVar("delay_T")
-
 	r := &Run{
 		ctx:    ctx,
 		prob:   p,
@@ -262,6 +256,7 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 		nest:   nest,
 		av:     av,
 		varT:   varT,
+		ev:     model.NewEvaluator(nest),
 	}
 	for _, st := range Stages() {
 		//tlvet:ignore wallclock -- telemetry: stage duration feeds the pipeline.stage.* histogram only
@@ -297,6 +292,23 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 		}
 	}
 	return &Result{Best: r.best, Stats: r.stats}, nil
+}
+
+// newNest builds the standard nest of one placement, with the
+// architecture variables (registered on the shared VarSet so they can
+// appear in the same GP as the trip counts) and the delay variable.
+func newNest(p *loopnest.Problem, opts Options) (*dataflow.Nest, *archVars, expr.VarID, error) {
+	nest, err := dataflow.StandardNest(p, opts.Nest)
+	if err != nil {
+		return nil, nil, expr.NoVar, err
+	}
+	av := &archVars{mode: opts.Mode, tech: opts.Arch.Tech, fixed: *opts.Arch, budget: opts.AreaBudget}
+	if opts.Mode == CoDesign {
+		av.varR = nest.Vars.NewVar("arch_R")
+		av.varS = nest.Vars.NewVar("arch_S")
+		av.varP = nest.Vars.NewVar("arch_P")
+	}
+	return nest, av, nest.Vars.NewVar("delay_T"), nil
 }
 
 // hasUntiledKernelLoops reports whether the problem has kernel iterators

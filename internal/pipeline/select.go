@@ -23,10 +23,9 @@ func (validateStage) Run(r *Run) error {
 		return nil
 	}
 	o := r.obs
-	ev := model.NewEvaluator(r.nest)
 	kept := r.cands[:0]
 	for _, c := range r.cands {
-		rep, err := ev.Evaluate(&c.cand.archCfg, c.cand.mapping)
+		rep, err := r.ev.Evaluate(&c.cand.archCfg, c.cand.mapping)
 		if err != nil || !rep.Valid() {
 			o.Counter("core.validate_dropped").Inc()
 			if o.Enabled(obs.Warn) {

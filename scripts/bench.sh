@@ -1,6 +1,7 @@
 #!/bin/sh
 # bench.sh runs the tier-1 performance benchmarks (cold/warm single-layer
-# optimize, the whole-network warm-cache sweep, the sequential vs
+# optimize, the cold delay optimization of the layer with the largest
+# integerization search, the whole-network warm-cache sweep, the sequential vs
 # scheduled whole-network comparison, the tracing-off vs tracing-on
 # overhead pair, the thistled warm-request service overhead, and the
 # solver.Solve rung on the captured resnet18_L6 GPs) with -benchmem and
@@ -32,7 +33,7 @@ if [ -e "$out" ]; then
         exit 1
     fi
 fi
-pattern='BenchmarkOptimizeColdCache|BenchmarkOptimizeColdPruned|BenchmarkOptimizeWarmCache|BenchmarkNetworkWarmCache|BenchmarkNetworkScheduler|BenchmarkOptimizeTracing|BenchmarkServeWarm|BenchmarkSolveL6'
+pattern='BenchmarkOptimizeColdCache|BenchmarkOptimizeColdDelayL2|BenchmarkOptimizeColdPruned|BenchmarkOptimizeWarmCache|BenchmarkNetworkWarmCache|BenchmarkNetworkScheduler|BenchmarkOptimizeTracing|BenchmarkServeWarm|BenchmarkSolveL6'
 
 echo "== go test -bench ($pattern)"
 go test -run '^$' -bench "$pattern" -benchmem "$@" . ./internal/solver \

@@ -17,8 +17,9 @@
 # the Chrome trace file must parse and report a critical path
 # (`tlreport trace`). A pruning/warm-start determinism gate runs the
 # whole-network fixture with the solve-path optimizations on and off,
-# at -parallel 1 and 4, plus the delay-criterion network at -parallel 1
-# and 4, and requires the manifests to agree to 1e-12.
+# at -parallel 1 and 4, plus the delay-criterion network and a co-design
+# delay layer at -parallel 1 and 4, and requires the manifests to agree
+# to 1e-12.
 # A final serve gate boots thistled on a random
 # port (scripts/servecheck), POSTs the same layer with a client
 # request ID, verifies the ID joins the manifest, trace, and access
@@ -80,7 +81,7 @@ echo "== e2e trace gate (tlreport trace on the captured Chrome trace)"
     -manifest "$tmp/notrace.manifest.json" >/dev/null
 "$tmp/tlreport" diff -wall-tol 1e9 "$tmp/run.manifest.json" "$tmp/notrace.manifest.json"
 
-echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel 1 vs 4; delay network, parallel 1 vs 4)"
+echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel 1 vs 4; delay network and co-design delay layer, parallel 1 vs 4)"
 # Warm starts and bound pruning move solver iterates, never results:
 # the whole-network manifests must agree to 1e-12 across scheduler
 # widths and with both optimizations disabled.
@@ -104,6 +105,15 @@ echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel
     -manifest "$tmp/net.delay.p4.manifest.json" >/dev/null
 "$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
     "$tmp/net.delay.p1.manifest.json" "$tmp/net.delay.p4.manifest.json"
+# Co-design is the integerization search's area-budget branch (power-of-
+# two capacities, PE count from the mapping): one delay layer must agree
+# across scheduler widths too.
+"$tmp/thistle" -layer resnet18_L6 -mode codesign -criterion delay -specs=false -parallel 1 \
+    -manifest "$tmp/cd.delay.p1.manifest.json" >/dev/null
+"$tmp/thistle" -layer resnet18_L6 -mode codesign -criterion delay -specs=false -parallel 4 \
+    -manifest "$tmp/cd.delay.p4.manifest.json" >/dev/null
+"$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
+    "$tmp/cd.delay.p1.manifest.json" "$tmp/cd.delay.p4.manifest.json"
 
 echo "== e2e serve gate (thistled vs thistle CLI, telemetry, graceful drain)"
 go build -o "$tmp/thistled" ./cmd/thistled
